@@ -1398,8 +1398,9 @@ func BenchmarkO1_ObsOverhead(b *testing.B) {
 // ---------------------------------------------------------------------
 
 // benchCluster boots nodes in-memory cluster nodes behind a
-// coordinator, shards owned round-robin.
-func benchCluster(b *testing.B, nodes int) (string, func()) {
+// coordinator, shards owned round-robin, and returns the coordinator
+// with its URL.
+func benchCluster(b *testing.B, nodes int) (*measuredb.Coordinator, string, func()) {
 	b.Helper()
 	const shards = 8
 	m := master.New(master.Options{})
@@ -1442,7 +1443,7 @@ func benchCluster(b *testing.B, nodes int) (string, func()) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return "http://" + caddr, func() {
+	return coord, "http://" + caddr, func() {
 		coord.Close()
 		for _, s := range svcs {
 			s.Close()
@@ -1462,7 +1463,7 @@ func BenchmarkC1_ClusterRouter(b *testing.B) {
 	}
 	for _, nodes := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("nodes=%d/op=ingest", nodes), func(b *testing.B) {
-			coordURL, cleanup := benchCluster(b, nodes)
+			_, coordURL, cleanup := benchCluster(b, nodes)
 			defer cleanup()
 			ing := (&client.Client{MasterURL: coordURL}).Ingest(coordURL)
 			ctx := context.Background()
@@ -1482,7 +1483,7 @@ func BenchmarkC1_ClusterRouter(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("nodes=%d/op=query", nodes), func(b *testing.B) {
-			coordURL, cleanup := benchCluster(b, nodes)
+			_, coordURL, cleanup := benchCluster(b, nodes)
 			defer cleanup()
 			ctx := context.Background()
 			ing := (&client.Client{MasterURL: coordURL}).Ingest(coordURL)
@@ -1748,7 +1749,11 @@ func benchAllocsPerRow(b *testing.B, rowsPerOp int, fn func()) {
 // 8192 rows through the service handler (routing and envelope
 // included); allocs/row is the steady-state heap cost of decoding,
 // validating, and applying one row. The pooled zero-copy scanner's
-// budget is <= 2 allocs/row on both transports.
+// budget is <= 2 allocs/row on both transports. transport=coordinator
+// posts the json-batch body to the coordinator's handler over a 2-node
+// loopback cluster instead: its figure adds the coordinator's decode
+// and per-owner re-encode, both HTTP hops and the nodes' ingest, with a
+// budget of <= 3 allocs/row.
 func BenchmarkH1_IngestAllocs(b *testing.B) {
 	const (
 		devices   = 64
@@ -1773,15 +1778,7 @@ func BenchmarkH1_IngestAllocs(b *testing.B) {
 	}
 	batch.WriteString(`]}`)
 
-	run := func(b *testing.B, body []byte, contentType string) {
-		svc := measuredb.New(measuredb.Options{
-			DisableLegacyAliases: true,
-			Engine: tsdb.NewSharded(tsdb.ShardedOptions{
-				Store: tsdb.Options{MaxSamplesPerSeries: 1 << 22},
-			}),
-		})
-		b.Cleanup(svc.Close)
-		h := svc.Handler()
+	post := func(b *testing.B, h http.Handler, body []byte, contentType string) {
 		benchAllocsPerRow(b, rowsPerOp, func() {
 			req := httptest.NewRequest("POST", "/v2/ingest", bytes.NewReader(body))
 			req.Header.Set("Content-Type", contentType)
@@ -1792,8 +1789,23 @@ func BenchmarkH1_IngestAllocs(b *testing.B) {
 			}
 		})
 	}
+	run := func(b *testing.B, body []byte, contentType string) {
+		svc := measuredb.New(measuredb.Options{
+			DisableLegacyAliases: true,
+			Engine: tsdb.NewSharded(tsdb.ShardedOptions{
+				Store: tsdb.Options{MaxSamplesPerSeries: 1 << 22},
+			}),
+		})
+		b.Cleanup(svc.Close)
+		post(b, svc.Handler(), body, contentType)
+	}
 	b.Run("transport=ndjson", func(b *testing.B) { run(b, nd.Bytes(), measuredb.NDJSONType) })
 	b.Run("transport=json-batch", func(b *testing.B) { run(b, batch.Bytes(), "application/json") })
+	b.Run("transport=coordinator", func(b *testing.B) {
+		coord, _, cleanup := benchCluster(b, 2)
+		b.Cleanup(cleanup)
+		post(b, coord.Handler(), batch.Bytes(), "application/json")
+	})
 }
 
 // H2 — query encode allocations. One op streams a 50000-row series out

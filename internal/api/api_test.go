@@ -1,9 +1,12 @@
 package api
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -234,14 +237,16 @@ func TestGzipMiddleware(t *testing.T) {
 	defer ts.Close()
 
 	// The default Go client advertises gzip and decodes transparently.
-	rsp, err := http.Get(ts.URL + "/v1/hello?name=gz")
+	// The response must clear the gzip size floor to be compressed.
+	big := strings.Repeat("gz", gzipMinSize)
+	rsp, err := http.Get(ts.URL + "/v1/hello?name=" + big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rsp.Body.Close()
 	var out map[string]string
-	if err := json.NewDecoder(rsp.Body).Decode(&out); err != nil || out["hello"] != "gz" {
-		t.Fatalf("transparent gzip decode failed: %v %v", out, err)
+	if err := json.NewDecoder(rsp.Body).Decode(&out); err != nil || out["hello"] != big {
+		t.Fatalf("transparent gzip decode failed: %v %v", len(out["hello"]), err)
 	}
 	if !rsp.Uncompressed {
 		t.Error("response was not gzip-compressed on the wire")
@@ -266,6 +271,67 @@ func TestGzipMiddleware(t *testing.T) {
 			t.Fatalf("%q: identity body = %v (%v)", refusal, out2, err)
 		}
 		rsp2.Body.Close()
+	}
+}
+
+// TestGzipSizeFloor pins the middleware's coding choice: identity below
+// gzipMinSize, gzip from it on or once the handler flushes, and never
+// for an event stream.
+func TestGzipSizeFloor(t *testing.T) {
+	cases := []struct {
+		name   string
+		sizes  []int // body written in these pieces
+		flush  bool  // flush after the writes
+		accept string
+		gzip   bool
+	}{
+		{name: "small", sizes: []int{gzipMinSize/2 - 1, gzipMinSize / 2}, gzip: false},
+		{name: "large", sizes: []int{gzipMinSize / 2, gzipMinSize / 2}, gzip: true},
+		{name: "flushed", sizes: []int{16}, flush: true, gzip: true},
+		{name: "sse", sizes: []int{4 * gzipMinSize}, flush: true, accept: "text/event-stream", gzip: false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []byte
+			h := Gzip()(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "text/plain")
+				w.WriteHeader(http.StatusCreated)
+				for i, n := range tc.sizes {
+					piece := []byte(strings.Repeat(string(rune('a'+i)), n))
+					want = append(want, piece...)
+					_, _ = w.Write(piece)
+				}
+				if tc.flush {
+					w.(http.Flusher).Flush()
+				}
+			}))
+			r := httptest.NewRequest(http.MethodGet, "/", nil)
+			r.Header.Set("Accept-Encoding", "gzip")
+			if tc.accept != "" {
+				r.Header.Set("Accept", tc.accept)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("status = %d, want 201", rec.Code)
+			}
+			body := rec.Body.Bytes()
+			if got := rec.Header().Get("Content-Encoding") == "gzip"; got != tc.gzip {
+				t.Fatalf("Content-Encoding = %q, want gzip=%v", rec.Header().Get("Content-Encoding"), tc.gzip)
+			}
+			if tc.gzip {
+				zr, err := gzip.NewReader(bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if body, err = io.ReadAll(zr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(body, want) {
+				t.Fatalf("body = %d bytes, want %d", len(body), len(want))
+			}
+		})
 	}
 }
 

@@ -218,46 +218,92 @@ var gzipPool = sync.Pool{New: func() any {
 	return gzip.NewWriter(io.Discard)
 }}
 
-// gzipWriter compresses the response lazily: the gzip stream starts on
-// the first body write, so empty responses stay empty.
+// gzipMinSize is the smallest response worth compressing. Below it a
+// flate compressor reset costs more than the bytes it saves, which on
+// an internal hop (Go's transport asks for gzip on every request) is
+// most of a small ingest summary's serving cost.
+const gzipMinSize = 1 << 10
+
+// gzipWriter picks the response's coding from its size. It holds back
+// the status and the first bytes; a response that ends below
+// gzipMinSize goes out identity-coded, and one that reaches it, or is
+// flushed first, commits to gzip.
 type gzipWriter struct {
 	http.ResponseWriter
-	gz *gzip.Writer
+	status int          // held WriteHeader status (0: none)
+	held   []byte       // body bytes written while the coding is undecided
+	gz     *gzip.Writer // nil until the response commits to gzip
 }
 
+var gzipWriterPool = sync.Pool{New: func() any {
+	return &gzipWriter{held: make([]byte, 0, gzipMinSize)}
+}}
+
 func (w *gzipWriter) WriteHeader(status int) {
-	w.Header().Del("Content-Length") // length of the plain body no longer applies
-	w.ResponseWriter.WriteHeader(status)
+	if w.gz != nil {
+		w.ResponseWriter.WriteHeader(status)
+	} else if w.status == 0 {
+		w.status = status
+	}
 }
 
 func (w *gzipWriter) Write(p []byte) (int, error) {
 	if w.gz == nil {
-		w.gz = gzipPool.Get().(*gzip.Writer)
-		w.gz.Reset(w.ResponseWriter)
+		if len(w.held)+len(p) < gzipMinSize {
+			w.held = append(w.held, p...)
+			return len(p), nil
+		}
+		if err := w.startGzip(); err != nil {
+			return 0, err
+		}
 	}
 	return w.gz.Write(p)
 }
 
-// Flush ends the current gzip block and flushes the underlying writer,
-// so a streaming endpoint accidentally running gzipped still makes
-// progress on the wire.
-func (w *gzipWriter) Flush() {
-	if w.gz != nil {
-		_ = w.gz.Flush()
+// startGzip commits the response to gzip and compresses the held bytes.
+func (w *gzipWriter) startGzip() error {
+	h := w.Header()
+	h.Set("Content-Encoding", "gzip")
+	h.Del("Content-Length") // length of the plain body no longer applies
+	if w.status != 0 {
+		w.ResponseWriter.WriteHeader(w.status)
 	}
+	w.gz = gzipPool.Get().(*gzip.Writer)
+	w.gz.Reset(w.ResponseWriter)
+	_, err := w.gz.Write(w.held)
+	return err
+}
+
+// Flush commits to gzip, ends the current gzip block and flushes the
+// underlying writer, so a streaming endpoint accidentally running
+// gzipped still makes progress on the wire.
+func (w *gzipWriter) Flush() {
+	if w.gz == nil {
+		_ = w.startGzip()
+	}
+	_ = w.gz.Flush()
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
+// close finishes the response: the held bytes of a small one go out
+// as they are, a gzip stream gets its trailer.
 func (w *gzipWriter) close() {
 	if w.gz == nil {
-		return
+		if w.status != 0 {
+			w.ResponseWriter.WriteHeader(w.status)
+		}
+		if len(w.held) > 0 {
+			_, _ = w.ResponseWriter.Write(w.held)
+		}
+	} else {
+		_ = w.gz.Close()
+		w.gz.Reset(io.Discard)
+		gzipPool.Put(w.gz)
 	}
-	_ = w.gz.Close()
-	w.gz.Reset(io.Discard)
-	gzipPool.Put(w.gz)
-	w.gz = nil
+	*w = gzipWriter{held: w.held[:0]}
+	gzipWriterPool.Put(w)
 }
 
 // acceptsGzip reports whether the client accepts gzip coding (with the
@@ -286,7 +332,8 @@ func acceptsGzip(r *http.Request) bool {
 	return false
 }
 
-// Gzip compresses responses for clients that accept it. Event-stream
+// Gzip compresses responses of at least gzipMinSize bytes, and any
+// response the handler flushes, for clients that accept it. Event-stream
 // requests are exempt: compressing an unbounded SSE response trades
 // per-event latency for ratio, the opposite of what live subscribers
 // want.
@@ -297,9 +344,9 @@ func Gzip() Middleware {
 				next.ServeHTTP(w, r)
 				return
 			}
-			w.Header().Set("Content-Encoding", "gzip")
 			w.Header().Add("Vary", "Accept-Encoding")
-			gw := &gzipWriter{ResponseWriter: w}
+			gw := gzipWriterPool.Get().(*gzipWriter)
+			gw.ResponseWriter = w
 			defer gw.close()
 			next.ServeHTTP(gw, r)
 		})

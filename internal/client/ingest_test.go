@@ -1,8 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,5 +179,92 @@ func TestIngestStreamNDJSON(t *testing.T) {
 	}
 	if got := svc.Store().Len(tsdb.SeriesKey{Device: measDevice, Quantity: "temperature"}); got != rows {
 		t.Fatalf("stored = %d", got)
+	}
+}
+
+// TestIngestBodiesMatchEncodingJSON pins the client's wire bytes: the
+// batch, series and streamed bodies are exactly what json.Marshal and
+// json.Encoder produce for the same rows, and a row they cannot encode
+// fails the call before anything is sent.
+func TestIngestBodiesMatchEncodingJSON(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		bodies [][]byte
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, raw)
+		mu.Unlock()
+		_, _ = io.WriteString(w, `{"accepted":0,"rejected":0}`)
+	}))
+	defer ts.Close()
+	last := func() []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(bodies) == 0 {
+			return nil
+		}
+		return bodies[len(bodies)-1]
+	}
+	ic := (&Client{MasterURL: "http://unused/"}).Ingest(ts.URL)
+	ctx := context.Background()
+	rows := []measuredb.Point{
+		ingestRow(0),
+		{Device: "urn:<b&d>\u2028\"x\"", Quantity: "é\xff", At: m0.Add(123456789), Value: 1e21},
+		{Device: "d", Quantity: "q", At: time.Date(2015, 3, 9, 10, 0, 0, 0, time.FixedZone("", -90*60)), Value: -1e-7},
+		{At: m0, Value: 0.1},
+	}
+
+	if _, err := ic.Append(ctx, rows); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(measuredb.IngestBatch{Rows: rows})
+	if got := last(); !bytes.Equal(got, want) {
+		t.Errorf("Append body:\ngot  %q\nwant %q", got, want)
+	}
+	if _, err := ic.AppendSeries(ctx, "urn:d", "q", rows); err != nil {
+		t.Fatal(err)
+	}
+	want, _ = json.Marshal(measuredb.SeriesAppend{Samples: rows})
+	if got := last(); !bytes.Equal(got, want) {
+		t.Errorf("AppendSeries body:\ngot  %q\nwant %q", got, want)
+	}
+
+	st, err := ic.Stream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	for _, p := range rows {
+		if err := st.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		_ = json.NewEncoder(&enc).Encode(p)
+	}
+	bad := measuredb.Point{Device: "d", Quantity: "q", At: m0, Value: math.NaN()}
+	if err := st.Write(bad); err == nil {
+		t.Error("stream Write accepted a NaN row")
+	}
+	if _, err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := last(); !bytes.Equal(got, enc.Bytes()) {
+		t.Errorf("Stream body:\ngot  %q\nwant %q", got, enc.Bytes())
+	}
+
+	mu.Lock()
+	sent := len(bodies)
+	mu.Unlock()
+	if _, err := ic.Append(ctx, append(rows, bad)); err == nil {
+		t.Error("Append accepted a NaN row")
+	}
+	if _, err := ic.AppendSeries(ctx, "urn:d", "q", []measuredb.Point{{At: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}}); err == nil {
+		t.Error("AppendSeries accepted a year-10000 row")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bodies) != sent {
+		t.Errorf("unencodable rows still sent %d requests", len(bodies)-sent)
 	}
 }

@@ -220,33 +220,12 @@ func (s *Service) clusterOwnsDevice(device string) bool {
 func (s *Service) clusterIngest(w http.ResponseWriter, r *http.Request, tok *dedupToken, body io.Reader, ndjson bool) {
 	sc := newPointScanner(body)
 	defer sc.release()
-	var pts []Point
-	var malformed string
-	if ndjson {
-		var p Point
-		for {
-			if err := sc.next(&p); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				// Same semantics as the streaming path: the malformed line
-				// is reported at its row index, rows before it stand.
-				malformed = "malformed row: " + err.Error()
-				break
-			}
-			sc.pts = append(sc.pts, p)
-		}
-		pts = sc.pts
-	} else {
-		var err error
-		if pts, err = sc.decodeBatch("rows"); err != nil {
-			api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad request body: %v", err)))
-			return
-		}
-		if len(pts) == 0 {
-			api.WriteError(w, r, api.BadRequest(errors.New("empty rows")))
-			return
-		}
+	// A malformed NDJSON line is reported at its row index, rows before
+	// it stand: the same semantics as the streaming path.
+	pts, malformed, err := readIngestBody(sc, ndjson)
+	if err != nil {
+		api.WriteError(w, r, err)
+		return
 	}
 	if err := s.clusterCheckEpoch(r); err != nil {
 		writeClusterRetry(w, r, err)

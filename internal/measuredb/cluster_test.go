@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,11 +220,15 @@ func TestClusterRoutingAndGuards(t *testing.T) {
 		}
 	}
 
-	// Keyed replay: same request again must not double-apply.
-	status, _ = postJSON(t, tc.coordURL+"/v2/ingest", map[string]string{"Idempotency-Key": "k1"},
+	// Keyed replay: same request again must not double-apply, and says
+	// it is a replay just as a single node would.
+	status, replayHdr := postJSON(t, tc.coordURL+"/v2/ingest", map[string]string{"Idempotency-Key": "k1"},
 		IngestBatch{Rows: rows}, &res)
 	if status != http.StatusOK || res.Accepted != len(rows) {
 		t.Fatalf("replayed ingest: status=%d res=%+v", status, res)
+	}
+	if !res.Replayed || replayHdr.Get("Idempotent-Replay") != "true" {
+		t.Fatalf("replayed ingest lost its marker: res=%+v Idempotent-Replay=%q", res, replayHdr.Get("Idempotent-Replay"))
 	}
 	for s, dev := range devs {
 		if n := tc.nodes[s%2].Store().Len(tsdb.SeriesKey{Device: dev, Quantity: "temperature"}); n != 3 {
@@ -297,5 +303,90 @@ func TestClusterRoutingAndGuards(t *testing.T) {
 		BatchQuery{Selectors: []SeriesSelector{{Device: devs[1], Quantity: "temperature"}}}, &batch)
 	if status != http.StatusOK || batch.Series != 1 || batch.Samples != 3 {
 		t.Fatalf("exact-device query: status=%d series=%d samples=%d", status, batch.Series, batch.Samples)
+	}
+}
+
+// TestCoordinatorIngestMatchesNode posts the same bodies to one
+// unclustered node and to a 2-node cluster's coordinator: the summary
+// envelopes must be byte-identical, row indices included, and a body
+// refused whole must be refused with the same status and text.
+func TestCoordinatorIngestMatchesNode(t *testing.T) {
+	const shards = 4
+	single, err := Open(Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(single.Close)
+	ts := httptest.NewServer(single.Handler())
+	t.Cleanup(ts.Close)
+	tc := newTestCluster(t, shards)
+
+	devs := make([]string, shards)
+	for s := range devs {
+		devs[s] = deviceInShard(s, shards)
+	}
+	base := time.Now().UTC().Add(-time.Hour).Truncate(time.Second)
+	var nextAt int
+	row := func(device, quantity string) string {
+		nextAt++
+		return fmt.Sprintf(`{"device":%q,"quantity":%q,"at":%q,"value":%d.5}`,
+			device, quantity, base.Add(time.Duration(nextAt)*time.Millisecond).Format(time.RFC3339Nano), nextAt)
+	}
+	batch := func(rows ...string) string { return `{"rows":[` + strings.Join(rows, ",") + `]}` }
+	ndjson := func(rows ...string) string { return strings.Join(rows, "\n") + "\n" }
+	// Every third row is rejected, on both owners, each of which has
+	// more rejects than one envelope lists.
+	manyRejects := make([]string, 0, 8*maxIngestErrors)
+	for i := 0; i < cap(manyRejects); i++ {
+		q := "temperature"
+		if i%3 == 0 {
+			q = ""
+		}
+		manyRejects = append(manyRejects, row(devs[i%shards], q))
+	}
+
+	cases := []struct {
+		name, contentType, body string
+	}{
+		{"valid batch", "application/json", batch(row(devs[0], "temperature"), row(devs[1], "humidity"),
+			row(devs[2], "temperature"), row(devs[3], "power"))},
+		{"ndjson malformed mid-stream", NDJSONType, ndjson(row(devs[0], "temperature"), row(devs[1], "temperature"),
+			`{"device":"urn:broken","quantity":`, row(devs[2], "temperature"))},
+		{"empty device", "application/json", batch(row(devs[0], "temperature"), row("", "temperature"),
+			row(devs[1], ""), row("", ""), row(devs[2], "temperature"))},
+		{"null row batch", "application/json", batch(row(devs[1], "temperature"), "null", row(devs[2], "temperature"))},
+		{"null row ndjson", NDJSONType, ndjson(row(devs[3], "temperature"), "null", row(devs[0], "temperature"))},
+		{"unknown field", "application/json", batch(
+			`{"device":"`+devs[0]+`","extra":{"nested":[1,"two",null]},"quantity":"temperature","value":3}`,
+			row(devs[1], "temperature"))},
+		{"case-folded keys", "application/json", batch(
+			`{"DEVICE":"`+devs[2]+`","Quantity":"temperature","AT":"`+base.Format(time.RFC3339)+`","Value":7}`,
+			`{"deVice":"`+devs[3]+`","QUANTITY":"humidity","value":8}`)},
+		{"repeated rows key", "application/json", `{"rows":[` + row(devs[0], "temperature") + `,` + row(devs[1], "temperature") +
+			`],"rows":[{"value":9},null,` + row(devs[2], "temperature") + `]}`},
+		{"more rejects than listed", "application/json", batch(manyRejects...)},
+		{"malformed batch", "application/json", `{"rows":[` + row(devs[0], "temperature") + `,{"device":}]}`},
+		{"empty batch", "application/json", `{"rows":[]}`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nodeCode, nodeBody := postIngest(t, ts.URL, c.contentType, "", c.body)
+			coordCode, coordBody := postIngest(t, tc.coordURL, c.contentType, "", c.body)
+			if nodeCode != coordCode {
+				t.Fatalf("status: node %d, coordinator %d\nnode:  %s\ncoord: %s", nodeCode, coordCode, nodeBody, coordBody)
+			}
+			if nodeCode != http.StatusOK {
+				var nodeEnv, coordEnv api.Envelope
+				_ = json.Unmarshal([]byte(nodeBody), &nodeEnv)
+				_ = json.Unmarshal([]byte(coordBody), &coordEnv)
+				if nodeEnv.Error == "" || nodeEnv.Error != coordEnv.Error || nodeEnv.Code != coordEnv.Code {
+					t.Fatalf("refusal differs:\nnode:  %s\ncoord: %s", nodeBody, coordBody)
+				}
+				return
+			}
+			if nodeBody != coordBody {
+				t.Fatalf("summary differs:\nnode:  %s\ncoord: %s", nodeBody, coordBody)
+			}
+		})
 	}
 }

@@ -847,11 +847,36 @@ func (c *Coordinator) streamMergedBatch(w http.ResponseWriter, out BatchResponse
 // POST /v2/ingest: partition by owner, forward, remap row errors
 // ---------------------------------------------------------------------
 
-// pendingRow is one not-yet-delivered ingest row with its position in
-// the client's request body.
-type pendingRow struct {
-	idx int
-	p   Point
+// ingestFold gathers one coordinator ingest's outcome across owner
+// partitions and re-route rounds. Errors stay uncapped until summary:
+// each owner lists its first maxIngestErrors rejects, so the first
+// maxIngestErrors of their union by row are the single node's list.
+type ingestFold struct {
+	res IngestResult
+	// delivered counts owner partitions that answered; replayed, those
+	// that answered from their idempotency window.
+	delivered, replayed int
+}
+
+// reject records one failed row.
+//
+// districtlint:hotpath
+func (f *ingestFold) reject(row int, msg string) {
+	f.res.Rejected++
+	f.res.Errors = append(f.res.Errors, RowError{Row: row, Error: msg})
+}
+
+// summary is the client's envelope: a replay only when every partition
+// was one, so a retry that still applied rows does not claim it.
+func (f *ingestFold) summary() IngestResult {
+	res := f.res
+	sortRowErrors(res.Errors)
+	if len(res.Errors) > maxIngestErrors {
+		res.Errors = res.Errors[:maxIngestErrors]
+	}
+	res.ErrorsTruncated = res.Rejected > len(res.Errors)
+	res.Replayed = f.delivered > 0 && f.replayed == f.delivered
+	return res
 }
 
 func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
@@ -869,47 +894,23 @@ func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad encoding %q (want json or ndjson)", enc)))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, maxIngestBody)
-	var pts []Point
-	var res IngestResult
-	reject := func(row int, msg string) {
-		res.Rejected++
-		if len(res.Errors) < maxIngestErrors {
-			res.Errors = append(res.Errors, RowError{Row: row, Error: msg})
-		} else {
-			res.ErrorsTruncated = true
-		}
+	sc := newPointScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	defer sc.release()
+	pts, malformed, err := readIngestBody(sc, ndjson)
+	if err != nil {
+		api.WriteError(w, r, err)
+		return
 	}
-	if ndjson {
-		dec := json.NewDecoder(body)
-		for {
-			var p Point
-			if err := dec.Decode(&p); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				reject(len(pts), "malformed row: "+err.Error())
-				break
-			}
-			pts = append(pts, p)
-		}
-	} else {
-		var batch IngestBatch
-		if err := json.NewDecoder(body).Decode(&batch); err != nil {
-			api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad request body: %v", err)))
-			return
-		}
-		if len(batch.Rows) == 0 {
-			api.WriteError(w, r, api.BadRequest(errors.New("empty rows")))
-			return
-		}
-		pts = batch.Rows
+	var fold ingestFold
+	if malformed != "" {
+		fold.reject(len(pts), malformed)
+	}
+	// pending holds the request positions of the rows not yet delivered.
+	pending := make([]int, len(pts))
+	for i := range pending {
+		pending[i] = i
 	}
 
-	pending := make([]pendingRow, len(pts))
-	for i, p := range pts {
-		pending[i] = pendingRow{idx: i, p: p}
-	}
 	var lastErr error
 	for attempt := 0; attempt < coordIngestAttempts && len(pending) > 0; attempt++ {
 		m, rerr := c.resolve(r.Context())
@@ -917,8 +918,8 @@ func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 			api.WriteError(w, r, rerr)
 			return
 		}
-		var failed []pendingRow
-		failed, lastErr = c.fanIngest(r.Context(), m, key, pending, &res, reject)
+		var failed []int
+		failed, lastErr = c.fanIngest(r.Context(), m, key, pts, pending, &fold)
 		if lastErr == nil && len(failed) == 0 {
 			pending = nil
 			break
@@ -944,23 +945,49 @@ func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 			Err: fmt.Errorf("%d of %d rows not yet applied: %v; retry with the same Idempotency-Key", len(pending), len(pts), err)})
 		return
 	}
-	sortRowErrors(res.Errors)
+	res := fold.summary()
+	if res.Replayed {
+		w.Header().Set("Idempotent-Replay", "true")
+	}
 	api.WriteJSON(w, http.StatusOK, res)
 }
 
-// fanIngest delivers one round: partitions pending rows by owner,
-// forwards the partitions concurrently under derived idempotency
-// sub-keys, folds per-row outcomes into res (indices remapped to the
+// maxPooledForwardBody caps the partition bodies that return to the
+// row-buffer pool. A node's http.Server reads a request body of up to
+// 256 KiB before it answers, even when the handler never reads it (an
+// idempotent replay), so once such a forward has succeeded the
+// transport is done with the bytes. A failed forward, or a larger body,
+// may still be in the transport's write loop, and is left to the GC.
+const maxPooledForwardBody = 256 << 10
+
+// appendPartition appends one owner's rows, pts at the positions in
+// rows, as a {"rows":[...]} body.
+//
+// districtlint:hotpath
+func appendPartition(b []byte, pts []Point, rows []int) []byte {
+	b = append(b, `{"rows":[`...)
+	for i, at := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendPoint(b, pts[at])
+	}
+	return append(b, ']', '}')
+}
+
+// fanIngest delivers one round: partitions the pending rows of pts by
+// owner, forwards the partitions concurrently under derived idempotency
+// sub-keys, folds per-row outcomes into fold (indices remapped to the
 // client's request), and returns the rows whose owner call failed.
-func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, pending []pendingRow, res *IngestResult, reject func(int, string)) ([]pendingRow, error) {
-	perNode := make(map[string][]pendingRow)
-	for _, pr := range pending {
-		node := m.Owner(m.ShardFor(pr.p.Device))
-		perNode[node] = append(perNode[node], pr)
+func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, pts []Point, pending []int, fold *ingestFold) ([]int, error) {
+	perNode := make(map[string][]int)
+	for _, at := range pending {
+		node := m.Owner(m.ShardFor(pts[at].Device))
+		perNode[node] = append(perNode[node], at)
 	}
 	type nodeOut struct {
 		node string
-		rows []pendingRow
+		rows []int // request positions
 		rsp  IngestResult
 		err  error
 	}
@@ -974,11 +1001,8 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 		go func(i int) {
 			defer wg.Done()
 			o := &outs[i]
-			rows := make([]Point, len(o.rows))
-			for j, pr := range o.rows {
-				rows[j] = pr.p
-			}
-			body, _ := json.Marshal(IngestBatch{Rows: rows})
+			buf := getRowBuf()
+			buf.b = appendPartition(buf.b[:0], pts, o.rows)
 			h := http.Header{"Content-Type": {"application/json"}}
 			if key != "" {
 				// Derived sub-key: stable per (client key, node), so this
@@ -986,16 +1010,19 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 				h.Set("Idempotency-Key", key+"@"+o.node)
 			}
 			u := api.URL2(o.node, "/ingest")
-			raw, _, err := c.forward(ctx, http.MethodPost, u, m.Epoch, h, body)
+			raw, _, err := c.forward(ctx, http.MethodPost, u, m.Epoch, h, buf.b)
 			if err != nil {
 				o.err = err
 				return
+			}
+			if cap(buf.b) <= maxPooledForwardBody {
+				rowBufPool.Put(buf)
 			}
 			o.err = json.Unmarshal(raw, &o.rsp)
 		}(i)
 	}
 	wg.Wait()
-	var failed []pendingRow
+	var failed []int
 	var lastErr error
 	for _, o := range outs {
 		if o.err != nil {
@@ -1005,17 +1032,18 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 			continue
 		}
 		c.bumpWriteGen(o.node)
-		res.Accepted += o.rsp.Accepted
+		fold.delivered++
+		if o.rsp.Replayed {
+			fold.replayed++
+		}
+		fold.res.Accepted += o.rsp.Accepted
 		for _, re := range o.rsp.Errors {
 			if re.Row >= 0 && re.Row < len(o.rows) {
-				reject(o.rows[re.Row].idx, re.Error)
+				fold.reject(o.rows[re.Row], re.Error)
 			}
 		}
 		// Rejected rows beyond the node's error cap still count.
-		for extra := o.rsp.Rejected - len(o.rsp.Errors); extra > 0; extra-- {
-			res.Rejected++
-			res.ErrorsTruncated = true
-		}
+		fold.res.Rejected += o.rsp.Rejected - len(o.rsp.Errors)
 	}
 	return failed, lastErr
 }

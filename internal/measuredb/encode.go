@@ -1,7 +1,9 @@
 package measuredb
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -126,13 +128,13 @@ func appendJSONTime(b []byte, t time.Time) []byte {
 	return append(b, '"')
 }
 
-// appendPointNDJSON appends one streamed samples row (a Point with the
-// series named on it) plus the newline json.Encoder terminates rows
-// with. Device and quantity carry omitempty, so empty values vanish
-// just as they would through reflection.
+// appendPoint appends p as json.Marshal(p) encodes it. Device and
+// quantity carry omitempty, so empty values vanish just as they would
+// through reflection. The caller vouches that p is encodable (see
+// AppendPoint): rows the scanner decoded always are.
 //
 // districtlint:hotpath
-func appendPointNDJSON(b []byte, p Point) []byte {
+func appendPoint(b []byte, p Point) []byte {
 	b = append(b, '{')
 	if p.Device != "" {
 		b = append(b, `"device":`...)
@@ -148,7 +150,81 @@ func appendPointNDJSON(b []byte, p Point) []byte {
 	b = appendJSONTime(b, p.At)
 	b = append(b, `,"value":`...)
 	b = appendJSONFloat(b, p.Value)
-	return append(b, '}', '\n')
+	return append(b, '}')
+}
+
+// appendPointNDJSON appends one streamed samples row (a Point with the
+// series named on it) plus the newline json.Encoder terminates rows
+// with.
+//
+// districtlint:hotpath
+func appendPointNDJSON(b []byte, p Point) []byte {
+	return append(appendPoint(b, p), '\n')
+}
+
+var (
+	errNonFiniteValue = errors.New("measuredb: NaN or infinite value has no JSON form")
+	errTimeRange      = errors.New("measuredb: timestamp has no RFC 3339 form (year outside [0,9999] or zone offset of 24h or more)")
+)
+
+// AppendPoint appends p exactly as json.Marshal(p) encodes it, and
+// fails exactly where json.Marshal fails: on a NaN or infinite value,
+// or on a timestamp time.Time.MarshalJSON refuses. On failure b comes
+// back unextended.
+//
+// districtlint:hotpath
+func AppendPoint(b []byte, p Point) ([]byte, error) {
+	if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+		return b, errNonFiniteValue
+	}
+	if y := p.At.Year(); y < 0 || y > 9999 {
+		return b, errTimeRange
+	}
+	// RFC 3339 writes the offset as ±hh:mm, hours truncated.
+	if _, off := p.At.Zone(); off <= -24*3600 || off >= 24*3600 {
+		return b, errTimeRange
+	}
+	return appendPoint(b, p), nil
+}
+
+// AppendIngestBatch appends the POST /v2/ingest body for rows, byte for
+// byte json.Marshal(IngestBatch{Rows: rows}), failing where it fails.
+func AppendIngestBatch(b []byte, rows []Point) ([]byte, error) {
+	return appendRowsBody(b, `{"rows":`, rows)
+}
+
+// AppendSeriesAppend appends the PUT /v2/.../samples body for samples,
+// byte for byte json.Marshal(SeriesAppend{Samples: samples}), failing
+// where it fails.
+func AppendSeriesAppend(b []byte, samples []Point) ([]byte, error) {
+	return appendRowsBody(b, `{"samples":`, samples)
+}
+
+// appendRowsBody appends a one-field object whose value is rows.
+//
+// districtlint:hotpath
+func appendRowsBody(b []byte, head string, rows []Point) ([]byte, error) {
+	n0 := len(b)
+	b = append(b, head...)
+	if rows == nil {
+		return append(b, "null}"...), nil
+	}
+	b = append(b, '[')
+	for i := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = AppendPoint(b, rows[i]); err != nil {
+			return b[:n0], err
+		}
+		if i == 0 {
+			// Size the body on its first row: one allocation for a fresh
+			// buffer instead of append's growth steps.
+			b = slices.Grow(b, (len(b)-n0)*(len(rows)-1)+2)
+		}
+	}
+	return append(b, ']', '}'), nil
 }
 
 // appendBatchSampleRow appends one raw-sample row of an NDJSON batch

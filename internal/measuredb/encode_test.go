@@ -148,3 +148,79 @@ func FuzzAppendJSONFloat(f *testing.F) {
 		}
 	})
 }
+
+// unencodablePoints are rows json.Marshal refuses; the exported
+// appenders must refuse the same ones.
+var unencodablePoints = []Point{
+	{Device: "d", Quantity: "q", At: encodeTimes[1], Value: math.NaN()},
+	{Device: "d", Quantity: "q", At: encodeTimes[1], Value: math.Inf(1)},
+	{Device: "d", Quantity: "q", At: encodeTimes[1], Value: math.Inf(-1)},
+	{Device: "d", Quantity: "q", At: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), Value: 1},
+	{Device: "d", Quantity: "q", At: time.Date(-1, 12, 31, 0, 0, 0, 0, time.UTC), Value: 1},
+	{Device: "d", Quantity: "q", At: time.Date(2015, 3, 9, 0, 0, 0, 0, time.FixedZone("", 24*3600)), Value: 1},
+	{Device: "d", Quantity: "q", At: time.Date(2015, 3, 9, 0, 0, 0, 0, time.FixedZone("", -30*3600)), Value: 1},
+}
+
+// checkBatchAppenders holds AppendIngestBatch, AppendSeriesAppend and
+// AppendPoint to json.Marshal of the same rows: equal bytes when it
+// succeeds, an error (and b unextended) when it fails.
+func checkBatchAppenders(t *testing.T, rows []Point) {
+	t.Helper()
+	prefix := []byte("prefix")
+	check := func(name string, got []byte, err error, want []byte, werr error) {
+		t.Helper()
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("%s: error %v, json.Marshal error %v (rows %+v)", name, err, werr, rows)
+		}
+		if werr != nil {
+			want = prefix
+		} else {
+			want = append(append([]byte(nil), prefix...), want...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s:\nappend:  %q\nmarshal: %q", name, got, want)
+		}
+	}
+	got, err := AppendIngestBatch(bytes.Clone(prefix), rows)
+	want, werr := json.Marshal(IngestBatch{Rows: rows})
+	check("AppendIngestBatch", got, err, want, werr)
+	got, err = AppendSeriesAppend(bytes.Clone(prefix), rows)
+	want, werr = json.Marshal(SeriesAppend{Samples: rows})
+	check("AppendSeriesAppend", got, err, want, werr)
+	for _, p := range rows {
+		got, err = AppendPoint(bytes.Clone(prefix), p)
+		want, werr = json.Marshal(p)
+		check("AppendPoint", got, err, want, werr)
+	}
+}
+
+func TestAppendIngestBatchMatchesMarshal(t *testing.T) {
+	var rows []Point
+	for _, s := range encodeStrings {
+		rows = append(rows, Point{Device: s, Quantity: s, At: encodeTimes[2], Value: 1})
+	}
+	for i, f := range encodeFloats {
+		rows = append(rows, Point{Device: "d", Quantity: "q", At: encodeTimes[i%len(encodeTimes)], Value: f})
+	}
+	rows = append(rows, Point{},
+		Point{At: time.Date(2015, 3, 9, 0, 0, 0, 0, time.FixedZone("", 24*3600-1)), Value: 1},
+		Point{At: time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC)})
+	checkBatchAppenders(t, nil)
+	checkBatchAppenders(t, []Point{})
+	checkBatchAppenders(t, rows)
+	for _, bad := range unencodablePoints {
+		checkBatchAppenders(t, []Point{rows[0], bad, rows[1]})
+	}
+}
+
+func FuzzAppendIngestBatch(f *testing.F) {
+	f.Add("urn:d", "temperature", int64(1425895200), int64(0), 0, 21.5)
+	f.Add("html <&>", "\u2028", int64(-62135596800), int64(1), 90*60, 1e21)
+	f.Add("d", "q", int64(253402300800), int64(0), 0, 1.0)
+	f.Add("d", "q", int64(0), int64(0), 24*3600, math.NaN())
+	f.Fuzz(func(t *testing.T, device, quantity string, sec, nsec int64, offset int, v float64) {
+		at := time.Unix(sec, nsec).In(time.FixedZone("", offset))
+		p := Point{Device: device, Quantity: quantity, At: at, Value: v}
+		checkBatchAppenders(t, []Point{p, {Device: "d", Quantity: "q", At: encodeTimes[1], Value: 2}, p})
+	})
+}

@@ -735,13 +735,9 @@ func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
 		api.WriteJSON(w, http.StatusOK, res)
 		return
 	}
-	pts, err := sc.decodeBatch("rows")
+	pts, _, err := readIngestBody(sc, false)
 	if err != nil {
-		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad request body: %v", err)))
-		return
-	}
-	if len(pts) == 0 {
-		api.WriteError(w, r, api.BadRequest(errors.New("empty rows")))
+		api.WriteError(w, r, err)
 		return
 	}
 	g := s.newIngester(obs.StagesFrom(r.Context()))
@@ -751,6 +747,34 @@ func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	res := g.finish()
 	tok.store(res)
 	api.WriteJSON(w, http.StatusOK, res)
+}
+
+// readIngestBody decodes a whole POST /v2/ingest body with sc. An
+// NDJSON body ends at its first malformed line, whose diagnosis comes
+// back as malformed: it belongs to row len(pts), and the rows before it
+// stand. A {"rows":[...]} body that does not decode, or holds no rows,
+// fails whole with a 400 error. pts is sc's and dies with sc.release.
+func readIngestBody(sc *pointScanner, ndjson bool) (pts []Point, malformed string, err error) {
+	if !ndjson {
+		pts, err := sc.decodeBatch("rows")
+		if err != nil {
+			return nil, "", api.BadRequest(fmt.Errorf("bad request body: %v", err))
+		}
+		if len(pts) == 0 {
+			return nil, "", api.BadRequest(errors.New("empty rows"))
+		}
+		return pts, "", nil
+	}
+	var p Point
+	for {
+		if err := sc.next(&p); err != nil {
+			if !errors.Is(err, io.EOF) {
+				malformed = "malformed row: " + err.Error()
+			}
+			return sc.pts, malformed, nil
+		}
+		sc.pts = append(sc.pts, p)
+	}
 }
 
 // v2PutSamples serves PUT /v2/series/{device}/{quantity}/samples: an
