@@ -253,11 +253,13 @@ func TestGzipMiddleware(t *testing.T) {
 	}
 
 	// A client refusing gzip gets identity bytes — including when the
-	// q parameter is not the first parameter of the member.
+	// q parameter is not the first parameter of the member. The reply is
+	// above the size floor, so it would be compressed if the refusal were
+	// ignored.
 	tr := &http.Transport{DisableCompression: true}
 	defer tr.CloseIdleConnections()
 	for _, refusal := range []string{"gzip;q=0", "gzip;x=1;q=0", "gzip; q=0.000"} {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/hello?name=plain", nil)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/hello?name="+big, nil)
 		req.Header.Set("Accept-Encoding", refusal)
 		rsp2, err := tr.RoundTrip(req)
 		if err != nil {
@@ -267,8 +269,8 @@ func TestGzipMiddleware(t *testing.T) {
 			t.Errorf("%q: gzip forced on a refusing client", refusal)
 		}
 		var out2 map[string]string
-		if err := json.NewDecoder(rsp2.Body).Decode(&out2); err != nil || out2["hello"] != "plain" {
-			t.Fatalf("%q: identity body = %v (%v)", refusal, out2, err)
+		if err := json.NewDecoder(rsp2.Body).Decode(&out2); err != nil || out2["hello"] != big {
+			t.Fatalf("%q: identity body has %d-byte name (%v)", refusal, len(out2["hello"]), err)
 		}
 		rsp2.Body.Close()
 	}

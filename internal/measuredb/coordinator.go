@@ -952,13 +952,9 @@ func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, res)
 }
 
-// maxPooledForwardBody caps the partition bodies that return to the
-// row-buffer pool. A node's http.Server reads a request body of up to
-// 256 KiB before it answers, even when the handler never reads it (an
-// idempotent replay), so once such a forward has succeeded the
-// transport is done with the bytes. A failed forward, or a larger body,
-// may still be in the transport's write loop, and is left to the GC.
-const maxPooledForwardBody = 256 << 10
+// partitionRowBytes is the per-row capacity guess for a partition
+// body; a typical encoded row fits, so the append rarely grows it.
+const partitionRowBytes = 128
 
 // appendPartition appends one owner's rows, pts at the positions in
 // rows, as a {"rows":[...]} body.
@@ -1001,8 +997,9 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 		go func(i int) {
 			defer wg.Done()
 			o := &outs[i]
-			buf := getRowBuf()
-			buf.b = appendPartition(buf.b[:0], pts, o.rows)
+			// Not pooled: the transport may still read the body of an
+			// earlier attempt after Do returns.
+			body := appendPartition(make([]byte, 0, partitionRowBytes*len(o.rows)+16), pts, o.rows)
 			h := http.Header{"Content-Type": {"application/json"}}
 			if key != "" {
 				// Derived sub-key: stable per (client key, node), so this
@@ -1010,13 +1007,10 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 				h.Set("Idempotency-Key", key+"@"+o.node)
 			}
 			u := api.URL2(o.node, "/ingest")
-			raw, _, err := c.forward(ctx, http.MethodPost, u, m.Epoch, h, buf.b)
+			raw, _, err := c.forward(ctx, http.MethodPost, u, m.Epoch, h, body)
 			if err != nil {
 				o.err = err
 				return
-			}
-			if cap(buf.b) <= maxPooledForwardBody {
-				rowBufPool.Put(buf)
 			}
 			o.err = json.Unmarshal(raw, &o.rsp)
 		}(i)
